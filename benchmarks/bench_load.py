@@ -8,16 +8,21 @@ Three things are measured against one saved, memory-mapped store:
    ``pool_size=0`` (a fresh TCP connection per request — the pre-pool
    behaviour).  The pool must win by ``LOAD_BENCH_MIN_SPEEDUP``
    (default 1.05x): reusing a connection is the entire point.
-2. **Realistic load latency** (informational): p50/p99 per-request
-   latency and saturation throughput for concurrent top-10 queries.
+2. **Realistic load latency and no collapse** (gated): p50/p99
+   per-request latency and saturation throughput for concurrent top-10
+   queries, plus the same queries from a single client.  Eight clients
+   must sustain at least the one-client q/s: below it, concurrency has
+   made the server slower in total — the signature of request threads
+   oversubscribing the cores with multi-threaded BLAS.
 3. **Correctness under every topology** (hard): pooled client, router
    over two half-stores behind HTTP backends, and a cached router
    frontend must all return payloads bit-identical to local
    ``execute()`` — a cache hit must be the byte-identical envelope.
 
-Timing gates are soft against machine noise (tune via the env var);
-correctness asserts are hard.  Results land in ``BENCH_load.json``
-via the ``bench_record`` fixture for the trajectory ledger.
+The transport gate is soft against machine noise (tune via the env
+var); the collapse gate and correctness asserts are hard.  Results
+land in ``BENCH_load.json`` via the ``bench_record`` fixture for the
+trajectory ledger.
 
 Run directly:
 ``PYTHONPATH=src python -m pytest benchmarks/bench_load.py -v -s``
@@ -54,7 +59,8 @@ _SHARD = 8_192
 _TOP = 10
 _THREADS = 8              # concurrent clients
 _TRANSPORT_REQUESTS = 40  # per client, transport-bound leg
-_TOPK_REQUESTS = 15       # per client, compute-bound leg
+_TOPK_REQUESTS = 15       # per client, compute-bound leg (8 clients)
+_SOLO_REQUESTS = _THREADS * _TOPK_REQUESTS  # the one-client leg, same total
 
 _MIN_SPEEDUP = float(os.environ.get("LOAD_BENCH_MIN_SPEEDUP", "1.05"))
 
@@ -115,12 +121,12 @@ def _spawn_server(store_dir, processes=2):
     return process, banner.rsplit(" at ", 1)[1].strip()
 
 
-def _drive(url, pool_size, per_thread, make_query):
-    """``_THREADS`` concurrent clients; returns (wall_s, sorted latencies)."""
+def _drive(url, pool_size, per_thread, make_query, clients=_THREADS):
+    """``clients`` concurrent clients; returns (wall_s, sorted latencies)."""
     latencies: list[float] = []
     errors: list[BaseException] = []
     lock = threading.Lock()
-    barrier = threading.Barrier(_THREADS)
+    barrier = threading.Barrier(clients)
 
     def worker(thread_id: int) -> None:
         mine: list[float] = []
@@ -141,7 +147,7 @@ def _drive(url, pool_size, per_thread, make_query):
 
     threads = [
         threading.Thread(target=worker, args=(i,), name=f"load-client-{i}")
-        for i in range(_THREADS)
+        for i in range(clients)
     ]
     t0 = time.perf_counter()
     for thread in threads:
@@ -199,12 +205,15 @@ def test_serving_tier_under_concurrent_load(tmp_path, bench_record):
         pooled_qps = total / pooled_wall
         oneshot_qps = total / oneshot_wall
 
-        # -- compute-bound leg (informational): top-10 latency profile -------
+        # -- compute-bound leg (collapse-gated): top-10 at 8 clients vs 1 ---
         def topk_query(thread_id, j):
             return typed[(thread_id + j) % len(typed)]
 
+        _drive(url, 8, 2, topk_query)  # warm every worker on the scan path
         topk_wall, topk_lat = _drive(url, 8, _TOPK_REQUESTS, topk_query)
         topk_qps = _THREADS * _TOPK_REQUESTS / topk_wall
+        solo_wall, _ = _drive(url, 8, _SOLO_REQUESTS, topk_query, clients=1)
+        solo_qps = _SOLO_REQUESTS / solo_wall
         p50 = _percentile(topk_lat, 0.50)
         p99 = _percentile(topk_lat, 0.99)
     finally:
@@ -250,6 +259,7 @@ def test_serving_tier_under_concurrent_load(tmp_path, bench_record):
         f"\n                             one-shot {oneshot_qps:7.1f} q/s"
         f"\n                             speedup {speedup:.2f}x (gate {_MIN_SPEEDUP:g}x)"
         f"\ntop-{_TOP} under load:          {topk_qps:8.1f} q/s"
+        f"\n                             1 client {solo_qps:7.1f} q/s (gate: 8 clients >= 1)"
         f"\n                             p50 {p50 * 1e3:7.2f} ms   p99 {p99 * 1e3:7.2f} ms"
     )
     bench_record(
@@ -262,9 +272,14 @@ def test_serving_tier_under_concurrent_load(tmp_path, bench_record):
             "pooled_q_per_s": pooled_qps,
             "oneshot_q_per_s": oneshot_qps,
             "topk_q_per_s": topk_qps,
+            "topk_q_per_s_1client": solo_qps,
         },
     )
     assert speedup >= _MIN_SPEEDUP, (
         f"connection pooling only {speedup:.2f}x over one-shot connections "
         f"(threshold {_MIN_SPEEDUP:g}x)"
+    )
+    assert topk_qps >= solo_qps, (
+        f"top-{_TOP} throughput collapses under concurrency: {_THREADS} clients "
+        f"{topk_qps:.1f} q/s < 1 client {solo_qps:.1f} q/s"
     )

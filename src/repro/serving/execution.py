@@ -15,16 +15,22 @@ consumes the blocks in shard order regardless of completion order.
 
 **BLAS threads compose multiplicatively with the pool.**  Most BLAS
 builds default to one internal thread per core; fanning shard blocks
-across ``N`` pool workers then runs ``N × cores`` compute threads, and
-the oversubscribed kernel threads spend their time context-switching
-instead of multiplying.  :func:`pin_blas_threads` (called once, when a
-service first builds its pool) pins the BLAS libraries to one thread
-each so the *pool* is the only parallelism lever, exactly the
+across ``N`` pool workers — or across the unbounded request threads of
+a :class:`~repro.serving.server.SketchQueryServer` — then runs
+``N × cores`` compute threads, and the oversubscribed kernel threads
+spend their time context-switching instead of multiplying.
+:func:`pin_blas_threads` pins the BLAS libraries to one thread each so
+the threads *above* BLAS are the only parallelism lever, exactly the
 threadpoolctl recipe — via threadpoolctl itself when installed, else a
 ctypes probe of the loaded BLAS plus the standard ``*_NUM_THREADS``
-environment guard for libraries yet to load.  Operators who want a
+environment guard for libraries yet to load.  It runs once per process:
+every ``SketchQueryServer`` calls it at construction (so every server
+process, ``--processes`` worker and router front starts pinned), and a
+service calls it when it first builds its pool.  Operators who want a
 different split (say 2 BLAS threads under a 2-worker pool on a 16-core
-box) set ``REPRO_SERVING_BLAS_THREADS``.
+box) set ``REPRO_SERVING_BLAS_THREADS``; an ``OPENBLAS_NUM_THREADS``-
+style variable already set when the process starts is left in charge.
+:func:`blas_threads` reads back the count the loaded libraries use.
 """
 
 from __future__ import annotations
@@ -72,21 +78,22 @@ _BLAS_ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
 )
 
-#: ``set_num_threads``-style entry points of the BLAS builds numpy links
-#: against, for the ctypes half of the guard (the env vars cannot reach
-#: a library that already read them at load time).
-_BLAS_SETTERS = (
-    "openblas_set_num_threads",
-    "openblas_set_num_threads64_",
+#: ``(set, get)`` thread-count entry points of the BLAS builds numpy
+#: links against, for the ctypes half of the guard (the env vars cannot
+#: reach a library that already read them at load time).
+_BLAS_THREAD_SYMBOLS = (
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     # the symbol names in the OpenBLAS builds vendored inside numpy/scipy
     # manylinux wheels, which prefix everything with scipy_
-    "scipy_openblas_set_num_threads",
-    "scipy_openblas_set_num_threads64_",
-    "MKL_Set_Num_Threads",
-    "bli_thread_set_num_threads",
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("MKL_Set_Num_Threads", "MKL_Get_Max_Threads"),
+    ("bli_thread_set_num_threads", "bli_thread_get_num_threads"),
 )
 
 _pin_lock = threading.Lock()
+_pin_decided = False  # the first pin_blas_threads() call settles the process
 _pinned: int | None = None
 _threadpoolctl_limits = None  # keeps a threadpoolctl pin alive process-wide
 
@@ -101,7 +108,7 @@ def _blas_threads_from_env() -> int | None:
         raise ValueError(
             f"{_BLAS_THREADS_ENV}={raw!r} is not a valid BLAS thread count: "
             "expected a positive integer such as 1 (unset it for the "
-            "default: 1 BLAS thread under a parallel worker pool)"
+            "default: 1 BLAS thread per serving process)"
         ) from None
     if threads < 1:
         raise ValueError(
@@ -138,13 +145,18 @@ def _loaded_blas_libraries():
                 continue
 
 
-def _pin_loaded_blas(threads: int) -> None:
-    """Best-effort runtime pin of every BLAS already in the process."""
-    global _threadpoolctl_limits
+def _threadpoolctl():
     try:
         import threadpoolctl
     except ImportError:
-        threadpoolctl = None
+        return None
+    return threadpoolctl
+
+
+def _pin_loaded_blas(threads: int) -> None:
+    """Best-effort runtime pin of every BLAS already in the process."""
+    global _threadpoolctl_limits
+    threadpoolctl = _threadpoolctl()
     if threadpoolctl is not None:
         # holding the controller applies the limit for the life of the
         # process (releasing it would restore the oversubscribed default)
@@ -153,8 +165,8 @@ def _pin_loaded_blas(threads: int) -> None:
         )
         return
     for lib in _loaded_blas_libraries():
-        for symbol in _BLAS_SETTERS:
-            setter = getattr(lib, symbol, None)
+        for setter_name, _ in _BLAS_THREAD_SYMBOLS:
+            setter = getattr(lib, setter_name, None)
             if setter is not None:
                 try:
                     setter(threads)
@@ -162,31 +174,62 @@ def _pin_loaded_blas(threads: int) -> None:
                     continue
 
 
-def pin_blas_threads(threads: int | None = None) -> int:
-    """Pin BLAS-internal threading so the worker pool is the only lever.
+def blas_threads() -> int | None:
+    """BLAS threads in effect, read back from the loaded libraries.
 
-    Called once per process by :class:`~repro.serving.service.DistanceService`
-    when a parallel policy first builds its pool.  ``threads=None``
-    means the default of 1 BLAS thread; ``REPRO_SERVING_BLAS_THREADS``
-    overrides both the argument and the default (and is validated
-    loudly, like every other serving knob).  Pre-existing explicit
-    ``OPENBLAS_NUM_THREADS``-style settings are respected — the
-    environment half uses ``setdefault`` — unless the override variable
-    forces them.  Returns the pinned count; repeat calls are no-ops
-    returning the first pin (one process, one BLAS configuration).
+    Not the requested pin but what the libraries report, so an operator
+    sees the split that is really running.  When several BLAS builds are
+    loaded (numpy's and scipy's vendored OpenBLAS, say) the largest
+    count is reported; ``None`` when no loaded library can be read.
     """
-    global _pinned
+    threadpoolctl = _threadpoolctl()
+    if threadpoolctl is not None:
+        counts = [
+            info["num_threads"]
+            for info in threadpoolctl.threadpool_info()
+            if info.get("user_api") == "blas"
+        ]
+    else:
+        counts = []
+        for lib in _loaded_blas_libraries():
+            for _, getter_name in _BLAS_THREAD_SYMBOLS:
+                getter = getattr(lib, getter_name, None)
+                if getter is not None:
+                    counts.append(int(getter()))
+                    break
+    return max(counts, default=None)
+
+
+def pin_blas_threads(threads: int | None = None) -> int | None:
+    """Pin BLAS-internal threading so the threads above it are the only lever.
+
+    Called by every :class:`~repro.serving.server.SketchQueryServer` at
+    construction and by :class:`~repro.serving.service.DistanceService`
+    when a parallel policy first builds its pool; only the first call
+    in a process acts.  ``threads=None`` means the default of 1 BLAS
+    thread; ``REPRO_SERVING_BLAS_THREADS`` overrides both the argument
+    and the default (and is validated loudly, like every other serving
+    knob).  Explicit settings are respected: when the override is unset
+    and any ``OPENBLAS_NUM_THREADS``-style variable was already set
+    before the first pin, nothing is pinned — the library read that
+    value when it loaded.  Returns the pinned count, or ``None`` when an
+    explicit setting was left in charge; repeat calls return the first
+    call's answer (one process, one BLAS configuration).
+    """
+    global _pin_decided, _pinned
     override = _blas_threads_from_env()
-    requested = override if override is not None else (threads or 1)
     with _pin_lock:
-        if _pinned is not None:
+        if _pin_decided:
             return _pinned
+        _pin_decided = True
+        if override is None and any(
+            os.environ.get(var, "").strip() for var in _BLAS_ENV_VARS
+        ):
+            return None
+        requested = override if override is not None else (threads or 1)
         value = str(requested)
         for var in _BLAS_ENV_VARS:
-            if override is not None:
-                os.environ[var] = value
-            else:
-                os.environ.setdefault(var, value)
+            os.environ[var] = value
         _pin_loaded_blas(requested)
         _pinned = requested
         return requested

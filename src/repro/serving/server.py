@@ -8,6 +8,12 @@ thread per connection; the heavy lifting inside a query is BLAS, which
 releases the GIL, and the service's own
 :class:`~repro.serving.execution.ExecutionPolicy` fans shard blocks
 across its worker pool independently of connection threads).
+Connection threads are unbounded, so request threads × shard workers ×
+BLAS threads stays within the cores only with BLAS at one thread:
+constructing a server calls
+:func:`~repro.serving.execution.pin_blas_threads` once, pinning every
+server process — ``--processes`` workers and router fronts included —
+to one BLAS thread (``REPRO_SERVING_BLAS_THREADS`` overrides).
 
 Endpoints (all bodies are :mod:`repro.serving.wire` envelopes):
 
@@ -16,7 +22,9 @@ Endpoints (all bodies are :mod:`repro.serving.wire` envelopes):
 ``POST /query-many``   a JSON array of query envelopes in, results out
 ``GET /healthz``       liveness + store shape: rows, live rows, shards,
                        generation, tombstone count, config digest, worker
-                       pid, cache counters when caching is on
+                       pid, the thread split (BLAS threads read back from
+                       the library, shard workers), cache counters when
+                       caching is on
 ``GET /meta``          the store's public metadata header (no values)
 =====================  =======================================================
 
@@ -79,7 +87,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.serving import wire
 from repro.serving.cache import ReleaseCache
-from repro.serving.execution import ExecutionPolicy
+from repro.serving.execution import ExecutionPolicy, blas_threads, pin_blas_threads
 from repro.serving.queries import CrossQuery, PairwiseQuery, TopKQuery
 from repro.serving.service import DistanceService
 from repro.serving.store import ShardedSketchStore, read_manifest
@@ -403,6 +411,12 @@ class _QueryHandler(BaseHTTPRequestHandler):
         # load-balances connections, and operators (and the smoke test)
         # can see which worker answered
         payload["pid"] = os.getpid()
+        # the thread split this process really runs: BLAS threads as the
+        # loaded library reports them (not the requested pin), and the
+        # shard workers per query (None behind a router front)
+        payload["blas_threads"] = blas_threads()
+        policy = getattr(self.service, "policy", None)
+        payload["shard_workers"] = None if policy is None else policy.workers
         if self.cache is not None:
             payload["cache"] = self.cache.stats()
         return payload
@@ -459,6 +473,9 @@ class SketchQueryServer:
     connections across them (the ``--processes`` launcher's mechanism).
     ``cache`` enables the LRU result-envelope cache: pass a
     :class:`~repro.serving.cache.ReleaseCache` or an entry count.
+    Construction pins this process's BLAS threading
+    (:func:`~repro.serving.execution.pin_blas_threads`; see the module
+    docstring for why).
 
     **Live generation swap.**  A server constructed over a store
     *directory* (``from_store_dir``, or ``store_path=`` here) can follow
@@ -493,6 +510,7 @@ class SketchQueryServer:
         mmap: bool = True,
         watch_interval: float | None = None,
     ) -> None:
+        pin_blas_threads()
         self.service = service
         if watch_interval is not None and watch_interval <= 0:
             raise ValueError(f"watch_interval must be positive, got {watch_interval}")

@@ -193,6 +193,10 @@ class TestRouterOverHttpBackends:
         health = client.health()
         assert health["rows"] == 57
         assert health["backends"] == 3
+        # the front runs no shard scans of its own: no shard workers, but
+        # its BLAS split is still reported
+        assert health["shard_workers"] is None
+        assert "blas_threads" in health
         meta = client.meta()
         assert meta["router"] is True
         assert meta["rows"] == 57
