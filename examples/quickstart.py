@@ -166,8 +166,9 @@ def main() -> None:
         # The same accuracy-for-compactness dial the paper turns at the
         # sketch level exists at the storage level: build at full
         # precision, then compact(storage=...) re-encodes the shards as
-        # f4 (half size), f2 (quarter) or scalar-quantised int8 with a
-        # per-shard scale (eighth).  Queries run unchanged through the
+        # f4 (half size), f2 (quarter) or scalar-quantised int8 (eighth;
+        # appends use per-shard steps, every rewrite one store-wide
+        # step — docs/FORMATS.md).  Queries run unchanged through the
         # same ShardView interface — f4 shards are scanned by a native
         # float32 GEMM — within the documented error envelope of
         # repro.theory.quantisation.  At 105k rows x k=64

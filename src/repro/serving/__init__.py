@@ -89,13 +89,8 @@ instead visits only the ``N`` nearest-centroid shards, an explicit
 recall/speed trade reported in ``QueryStats.shards_routed``.  Both are
 post-processing of released sketches: no extra privacy budget.
 
-**Deprecation policy.**  The pre-query-plane ``DistanceService``
-methods (``top_k``, ``top_k_batch``, ``radius``, ``cross``,
-``pairwise_submatrix``) are shims over ``execute()``: bit-identical
-results plus a ``DeprecationWarning``.  They remain for at least two
-further releases; new code should build typed queries.  The wire format
-and the binary container are versioned independently and reject
-unknown versions up front.
+**Versioning.**  The wire format and the binary container are versioned
+independently and reject unknown versions up front.
 
 The analyst-side index :class:`~repro.core.knn.PrivateNeighborIndex`
 delegates to this layer, and a :class:`~repro.core.protocol.SketchingSession`

@@ -19,9 +19,10 @@ cached float32 scan copy) through the unchanged :class:`ShardView`
 interface, so the whole query
 plane runs identically, trading a documented error envelope
 (:mod:`repro.theory.quantisation`) for 2–8x smaller buffers and files.
-An int8 shard never rescales published rows: a chunk that would clip
-seals the shard and opens a fresh one with its own scale, keeping
-snapshots immutable.
+An int8 shard never rescales published rows: an appended chunk that
+would clip seals the shard and opens a fresh one with its own scale,
+keeping snapshots immutable (rewrites use one store-wide scale
+instead, see :meth:`ShardedSketchStore.compact`).
 
 Every shard caches the squared norms of its filled rows (maintained
 incrementally at append time) plus their min/max, which the query
@@ -55,13 +56,23 @@ budget, the same argument that makes result caching free
 never decremented.  A tombstone is an availability control, not a
 privacy rewind: anyone who saw the published sketch still holds it.
 
-Every manifest carries a **generation** counter that maintenance bumps
-each time it rewrites the shard layout.  The disk-to-disk path
-(:func:`repro.serving.maintenance.compact_store`) streams generation
-``N+1`` into a sibling ``gen-NNNNN`` directory in bounded row blocks
-(:meth:`ShardView.iter_codes` — peak memory is O(block), not O(store))
-and atomically replaces the manifest, so a long-running server can
-watch the manifest and hot-swap to the new layout without a restart.
+Every rewrite of the shard layout runs through **one streaming engine**
+(the end of this module) with two pairs of front-ends: in memory,
+:meth:`ShardedSketchStore.compact` and :meth:`ShardedSketchStore.merge`;
+disk to disk, :func:`repro.serving.maintenance.compact_store` and
+:func:`repro.serving.maintenance.merge_stores`.  The engine reads
+``(ShardView, live labels)`` pairs in bounded row blocks
+(:meth:`ShardView.iter_codes` — peak memory is O(block), not O(store)),
+passes same-spec float codes through and re-encodes everything else,
+and writes capacity-sized shards into memory or a staging directory,
+so both fronts produce the same shards, labels and scales, and the
+same routing tables up to the last bits of the centroids of shards
+longer than one block (a staged shard's centroid is summed block by
+block, a resident one's in one pass).  Every manifest carries a
+**generation** counter that a compaction bumps.  The disk front
+streams generation ``N+1`` into a sibling ``gen-NNNNN`` directory and
+atomically replaces the manifest, so a long-running server can watch
+the manifest and hot-swap to the new layout without a restart.
 
 Concurrency contract (shared with :class:`~repro.serving.service.DistanceService`):
 one writer at a time; any number of concurrent readers, each of which
@@ -73,7 +84,9 @@ snapshot never exposes partially written rows.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import operator
 import os
 import shutil
 from pathlib import Path
@@ -95,6 +108,7 @@ from repro.serving.serialization import (
     ROUTING_BLOB_NAME,
     BatchInfo,
     SerializationError,
+    StreamingBatchWriter,
     iter_batch_rows,
     map_values,
     read_batch_info,
@@ -180,13 +194,43 @@ class _Shard:
         return take
 
     def append(self, rows: np.ndarray) -> None:
-        """Copy ``rows`` into the buffer, extending the norm caches.
+        """Encode float64 ``rows`` into the buffer (see :meth:`append_codes`).
 
-        The size is published *last*, after the rows, their norms and
-        the norm bounds — a concurrent reader that sees the new size
-        therefore sees fully written rows and bounds covering them.
+        An int8 shard's step is fixed here by the first chunk it takes.
         """
-        end = self.size + rows.shape[0]
+        if self.storage.quantised and self.scale is None:
+            peak = float(np.max(np.abs(rows))) if rows.size else 0.0
+            if not np.isfinite(peak):
+                raise ValueError("int8 storage requires finite sketch values")
+            self.scale = StorageSpec.int8_step(peak)
+        self.append_codes(
+            rows if self.storage.name == "f8" else self.storage.encode(rows, self.scale)
+        )
+
+    def adopt(self, raw: np.ndarray, scale: float | None) -> None:
+        """Fill an empty shard with raw storage codes from a stored blob.
+
+        The eager-load path: codes land in the buffer verbatim (no
+        decode/re-encode round trip, so quantised reloads are
+        bit-identical), and a fresh f2/int8 decode primes the scan cache.
+        """
+        self.scale = scale
+        scan = self.append_codes(raw)
+        if self.storage.name not in ("f8", "f4"):
+            scan.flags.writeable = False
+            self._decoded = scan
+
+    def append_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Copy raw storage ``codes`` into the buffer, extending the norm caches.
+
+        The one code-append tail behind :meth:`append`, :meth:`adopt`
+        and the rewrite engine; returns the chunk decoded to the scan
+        dtype.  The size is published *last*, after the rows, their
+        norms and the norm bounds — a concurrent reader that sees the
+        new size therefore sees fully written rows and bounds covering
+        them.
+        """
+        end = self.size + codes.shape[0]
         if end > self._buffer.shape[0]:  # grow geometrically within capacity
             new_rows = min(self.capacity, max(end, 2 * self._buffer.shape[0]))
             grown = np.empty((new_rows, self._buffer.shape[1]), dtype=self._buffer.dtype)
@@ -194,49 +238,16 @@ class _Shard:
             norms = np.empty(new_rows, dtype=np.float64)
             norms[: self.size] = self._sq_norms[: self.size]
             self._buffer, self._sq_norms = grown, norms
-        if self.storage.quantised and self.scale is None:
-            peak = float(np.max(np.abs(rows))) if rows.size else 0.0
-            if not np.isfinite(peak):
-                raise ValueError("int8 storage requires finite sketch values")
-            self.scale = StorageSpec.int8_step(peak)
-        self._buffer[self.size : end] = (
-            rows
-            if self.storage.name == "f8"
-            else self.storage.encode(rows, self.scale)
-        )
-        decoded = np.asarray(
-            self.storage.decode(self._buffer[self.size : end], self.scale),
-            dtype=np.float64,
-        )
-        chunk_norms = np.einsum("ij,ij->i", decoded, decoded)
-        self._sq_norms[self.size : end] = chunk_norms
-        self._min_sq = min(self._min_sq, float(chunk_norms.min()))
-        self._max_sq = max(self._max_sq, float(chunk_norms.max()))
+        self._buffer[self.size : end] = codes
+        scan = self.storage.decode(self._buffer[self.size : end], self.scale)
+        if end > self.size:
+            decoded = np.asarray(scan, dtype=np.float64)
+            chunk_norms = np.einsum("ij,ij->i", decoded, decoded)
+            self._sq_norms[self.size : end] = chunk_norms
+            self._min_sq = min(self._min_sq, float(chunk_norms.min()))
+            self._max_sq = max(self._max_sq, float(chunk_norms.max()))
         self.size = end
-
-    def adopt(self, raw: np.ndarray, scale: float | None) -> None:
-        """Fill an empty shard with raw storage codes from a stored blob.
-
-        The eager-load path: codes land in the buffer verbatim (no
-        decode/re-encode round trip, so quantised reloads are
-        bit-identical) and the norm caches are rebuilt from the decoded
-        rows exactly as :meth:`append` would have.
-        """
-        end = raw.shape[0]
-        self.scale = scale
-        self._buffer[:end] = raw
-        scan = self.storage.decode(self._buffer[:end], scale)
-        if self.storage.name not in ("f8", "f4"):
-            # a fresh f2/int8 decode: prime the scan cache right away
-            scan.flags.writeable = False
-            self._decoded = scan
-        decoded = np.asarray(scan, dtype=np.float64)
-        norms = np.einsum("ij,ij->i", decoded, decoded)
-        self._sq_norms[:end] = norms
-        if end:
-            self._min_sq = float(norms.min())
-            self._max_sq = float(norms.max())
-        self.size = end
+        return scan
 
     @property
     def values(self) -> np.ndarray:
@@ -336,6 +347,11 @@ class _MappedShard:
     @property
     def nbytes(self) -> int:
         return self._info.values_nbytes
+
+    @property
+    def labels_elided(self) -> bool:
+        """Whether the blob stores no labels (they are the default positions)."""
+        return not self._info.labels
 
     @property
     def materialized(self) -> bool:
@@ -834,18 +850,24 @@ class ShardedSketchStore:
         build-full-precision-then-shrink workflow is
         ``store.compact(storage="f4").save(path)``.  Repacking float
         shards into the same spec is value-preserving (query results
-        are unchanged); changing precision, or repacking ``int8``
-        shards (whose per-shard scales are re-derived), re-rounds the
-        rows within the documented envelope.
+        are unchanged); changing precision re-rounds the rows within
+        the documented envelope.  An ``int8`` rewrite re-encodes every
+        row with **one store-wide step** (an extra streaming pass finds
+        the live rows' peak), so it never tears shards apart the way
+        appends, which fix a step per shard, can.
 
         Tombstoned rows are physically dropped here, labels included
         (their budget stays spent — see the module docstring), and the
         store's :attr:`generation` is bumped.  Rows stream through in
-        bounded blocks — on an mmap-loaded store nothing larger than a
-        block is ever read at once, so compacting a store bigger than
-        RAM is fine.  For a disk-to-disk rewrite that never loads the
-        store at all, use
-        :func:`repro.serving.maintenance.compact_store`.
+        bounded blocks into new shards that replace the old ones only
+        once the rewrite has succeeded: a rewrite that fails (say, on a
+        corrupt memory-mapped shard) leaves the store exactly as it
+        was.  This is the in-memory front of the same engine as
+        :func:`repro.serving.maintenance.compact_store`, which rewrites
+        a saved store disk-to-disk without loading it; both produce the
+        same shards, labels, scales and routing tables (up to the last
+        bits of the centroid of a shard longer than one block, which
+        the disk front sums block by block).
 
         ``routing`` builds a centroid routing table along the way
         (:mod:`repro.serving.routing`): ``True`` clusters the rows into
@@ -862,69 +884,36 @@ class ShardedSketchStore:
         historical order-preserving rewrite (and drops any existing
         routing table — the layout changed).
         """
-        if storage is not None:
-            self.storage = StorageSpec.parse(storage)
-        views = self.snapshot()
-        old_labels = self._labels
-        clusters = self._cluster_count(routing, views)
-        self._shards = []
-        self._labels = []
-        self._tombstones = set()
-        self._routing = None
-        self.generation += 1
-        if clusters is None:
-            for block, labels in _iter_live_decoded(views, old_labels):
-                self._labels.extend(labels)
-                self._fill(block)
-            return self
-        centroids = kmeans_centroids(
-            _sample_live(views), clusters, seed=routing_seed
-        )
-        # one streaming pass per cluster: assignment is recomputed per
-        # block (deterministic, so every pass agrees) instead of being
-        # materialised, keeping peak memory at O(block) even here
-        for j in range(centroids.shape[0]):
-            filled_before = len(self._labels)
-            for block, labels in _iter_live_decoded(views, old_labels):
-                member = assign_rows(block, centroids) == j
-                if member.any():
-                    self._labels.extend(
-                        [labels[i] for i in np.flatnonzero(member)]
-                    )
-                    self._fill(block[member])
-            if len(self._labels) > filled_before:
-                self._seal_tail()  # shard boundaries align with clusters
-        self._routing = build_shard_routing(
-            [shard.values for shard in self._shards],
-            generation=self.generation,
-            n_clusters=int(centroids.shape[0]),
+        spec = self.storage if storage is None else StorageSpec.parse(storage)
+        pairs = self._pairs()
+        generation = self.generation + 1
+        roller, table = _rewrite(
+            pairs,
+            self._template,
+            spec,
+            self.shard_capacity,
+            clusters=_cluster_count(
+                routing, sum(view.live_size for view, _ in pairs), self.shard_capacity
+            ),
             seed=routing_seed,
+            generation=generation,
         )
+        self.storage = spec
+        self._shards, self._labels = roller.shards, roller.labels
+        self._tombstones = set()
+        self._routing = table
+        self.generation = generation
         return self
 
-    def _cluster_count(self, routing, views) -> int | None:
-        """Resolve the ``routing`` argument of :meth:`compact`."""
-        if routing is None or routing is False:
-            return None
-        live = sum(view.live_size for view in views)
-        if live == 0:
-            raise ValueError("cannot build routing over an empty store")
-        if routing is True:
-            return default_cluster_count(live, self.shard_capacity)
-        clusters = int(routing)
-        if clusters < 1:
-            raise ValueError(f"routing cluster count must be >= 1, got {clusters}")
-        return clusters
-
-    def _seal_tail(self) -> None:
-        """Seal the tail shard so the next fill opens a fresh one.
-
-        The cluster-boundary primitive of clustered compaction: capping
-        the shard's capacity at its size makes :meth:`_Shard.admit`
-        return zero forever, exactly like a full shard.
-        """
-        if self._shards and self._shards[-1].size:
-            self._shards[-1].capacity = self._shards[-1].size
+    def _pairs(self) -> list:
+        """The rewrite engine's source: ``(view, live labels)`` per snapshot view."""
+        pairs = []
+        for view in self.snapshot():
+            labels = self._labels[view.start : view.start + view.size]
+            if view.dead is not None:
+                labels = [labels[i] for i in view.live_local()]
+            pairs.append((view, labels))
+        return pairs
 
     @classmethod
     def merge(
@@ -944,56 +933,20 @@ class ShardedSketchStore:
         everything into one spec instead.  Empty stores are skipped,
         and tombstoned rows are dropped on the way through (the merged
         store starts with a clean tombstone set; budgets stay spent —
-        see the module docstring).  Rows stream through in bounded
-        blocks: merging mmap-loaded stores reads nothing larger than
-        one block at a time, so on-disk stores far bigger than RAM
-        fuse fine (see also
+        see the module docstring).  Rows stream through the same engine
+        as :meth:`compact`, in bounded blocks: merging mmap-loaded
+        stores reads nothing larger than one block at a time, so
+        on-disk stores far bigger than RAM fuse fine (see also
         :func:`repro.serving.maintenance.merge_stores` for the
-        directory-to-directory form).
+        directory-to-directory form, which writes the same shards).
         """
-        if not stores:
-            raise ValueError("merge needs at least one store")
-        specs = sorted({s.storage.name for s in stores if s._template is not None})
-        if storage is None:
-            if len(specs) > 1:
-                raise ValueError(
-                    f"cannot merge stores with different storage specs "
-                    f"({', '.join(specs)}): their error envelopes differ; pass "
-                    f"storage=... to re-encode the merged store into one spec"
-                )
-            storage = specs[0] if specs else stores[0].storage
-        capacity = (
-            max(store.shard_capacity for store in stores)
-            if shard_capacity is None
-            else shard_capacity
+        template, spec, capacity, pairs = _merge_sources(
+            stores, storage, shard_capacity
         )
-        merged = cls(shard_capacity=capacity, storage=storage)
-        for store in stores:
-            if store._template is None:
-                continue
-            if merged._template is None:
-                merged._template = store._template
-            else:
-                estimators.check_compatible(merged._template, store._template)
-            for view in store.snapshot():
-                labels = store._labels[view.start : view.start + view.size]
-                if view.dead is not None:
-                    keep = np.delete(np.arange(view.size), view.dead)
-                    labels = [labels[i] for i in keep]
-                merged._labels.extend(labels)
-                offset = 0
-                for block in view.iter_codes():
-                    n = block.shape[0]
-                    if view.dead is not None:
-                        block = _drop_dead(block, offset, view.dead)
-                    offset += n
-                    if block.shape[0]:
-                        merged._fill(
-                            np.asarray(
-                                view.storage.decode(block, view.scale),
-                                dtype=np.float64,
-                            )
-                        )
+        merged = cls(shard_capacity=capacity, storage=spec)
+        roller, _ = _rewrite(pairs, template, spec, capacity)
+        merged._template = template
+        merged._shards, merged._labels = roller.shards, roller.labels
         return merged
 
     # -- persistence ---------------------------------------------------------
@@ -1033,11 +986,7 @@ class ShardedSketchStore:
         if not len(self):
             raise ValueError("cannot save an empty store")
         root = Path(path)
-        root.parent.mkdir(parents=True, exist_ok=True)
-        staging = root.with_name(f".{root.name}.saving-{os.getpid()}")
-        if staging.exists():
-            shutil.rmtree(staging)
-        staging.mkdir(parents=True)
+        staging = _fresh_dir(root.with_name(f".{root.name}.saving-{os.getpid()}"))
         try:
             views = self.snapshot()
             offset = 0
@@ -1072,18 +1021,7 @@ class ShardedSketchStore:
                 manifest["tombstones"] = sorted(self._tombstones)
             routing = self.routing  # the property: fresh-layout or None
             if routing is not None:
-                digest = write_routing_blob(
-                    staging / ROUTING_BLOB_NAME,
-                    routing.to_payload(),
-                    routing.centroids,
-                    routing.radii,
-                )
-                manifest["routing"] = {
-                    "file": ROUTING_BLOB_NAME,
-                    "sha256": digest,
-                    "n_clusters": routing.n_clusters,
-                    "generation": routing.generation,
-                }
+                manifest["routing"] = _write_routing(staging, routing)
             (staging / _MANIFEST_NAME).write_text(
                 json.dumps(manifest, indent=2, sort_keys=True)
             )
@@ -1246,90 +1184,388 @@ def read_manifest(path: str | os.PathLike) -> dict:
     return manifest
 
 
-def _drop_dead(block: np.ndarray, offset: int, dead: np.ndarray) -> np.ndarray:
-    """``block`` (a view's rows ``[offset, offset + n)``) minus tombstones.
+# -- the streaming rewrite engine ---------------------------------------------
+#
+# ShardedSketchStore.compact/merge and maintenance.compact_store/
+# merge_stores are four fronts of one engine.  Its source is a list of
+# (ShardView, live labels) pairs — a store's snapshot, or an mmap-loaded
+# store's for the disk fronts — streamed in bounded blocks by
+# _live_blocks; _encode is its encoding rule; a _ShardRoller is its sink.
 
-    ``dead`` is the view's sorted local tombstone array; membership is
-    resolved by binary search so a block touching no tombstones costs
-    O(n log d), not O(n * d).
+
+def _rewrite(
+    pairs,
+    template,
+    spec: StorageSpec,
+    capacity: int,
+    *,
+    staging: Path | None = None,
+    block_rows: int = DEFAULT_BLOCK_ROWS,
+    clusters: int | None = None,
+    seed: int = 0,
+    generation: int = 0,
+):
+    """Stream every live row of ``pairs`` into capacity-sized ``spec`` shards.
+
+    Rows keep their order, or — with ``clusters`` — are k-means
+    clustered over a stride sample and written cluster by cluster (one
+    streaming pass per cluster) with a sealed shard boundary between
+    clusters.  Peak memory is O(``block_rows``) on top of the labels.
+    The sink lives in memory, or in ``staging`` when given.  Returns
+    ``(roller, routing)``: the sink holding the output shards and, for
+    a clustered rewrite, the routing table built over them.
     """
-    local = np.arange(offset, offset + block.shape[0])
-    hit = np.searchsorted(dead, local)
-    dead_here = (hit < dead.size) & (
-        dead[np.minimum(hit, dead.size - 1)] == local
+    scale = _int8_step(pairs, block_rows) if spec.quantised else None
+    # on disk, labels equal to the default positions are elided (they
+    # regenerate on load) unless clustering permutes the rows
+    write_labels = staging is not None and (
+        clusters is not None or not _positional(pairs)
     )
-    return block[~dead_here]
+    roller = _ShardRoller(template, spec, scale, capacity, staging, write_labels)
+    try:
+        if clusters is None:
+            for view, codes, labels in _live_blocks(pairs, block_rows):
+                roller.append(_encode(spec, scale, view, codes), labels)
+        else:
+            centroids = kmeans_centroids(
+                _sample_live(pairs, block_rows), clusters, seed=seed
+            )
+            # the assignment is recomputed per block (deterministic, so
+            # every pass agrees) instead of being materialised
+            for j in range(centroids.shape[0]):
+                for view, codes, labels in _live_blocks(pairs, block_rows):
+                    decoded = _decode(view, codes)
+                    member = assign_rows(decoded, centroids) == j
+                    if member.any():
+                        roller.append(
+                            _encode(spec, scale, view, codes[member], decoded[member]),
+                            [labels[i] for i in np.flatnonzero(member)],
+                        )
+                roller.seal()  # shard boundaries align with clusters
+        roller.finish()
+    except BaseException:
+        roller.abort()
+        raise
+    if clusters is None:
+        return roller, None
+    # the balls cover exactly the values queries will scan: staged shards
+    # are read back block by block like any stored blob, and a resident
+    # shard is read as one block
+    blocks = (
+        [_Blocks(shard, shard.size) for shard in roller.shards]
+        if staging is None
+        else [
+            _Blocks(_MappedShard(read_batch_info(path)), block_rows)
+            for path in roller.shards
+        ]
+    )
+    routing = build_shard_routing(
+        blocks,
+        generation=generation,
+        n_clusters=int(centroids.shape[0]),
+        seed=seed,
+    )
+    return roller, routing
 
 
-def _iter_live_decoded(views: list[ShardView], labels: list):
-    """Live rows of ``views`` as ``(float64 block, labels)`` pairs.
+def _live_blocks(pairs, block_rows: int):
+    """The live rows of ``pairs`` as ``(view, codes, labels)`` blocks, in order.
 
-    The shared streaming front end of :meth:`ShardedSketchStore.compact`:
-    blocks arrive decoded to float64 with tombstoned rows dropped and
-    each surviving row's label alongside, bounded by the block size —
-    nothing store-sized is ever materialised.
+    Raw storage codes from :meth:`ShardView.iter_codes` (buffered,
+    digest-verified reads for a memory-mapped shard, so a corrupt
+    source aborts the rewrite) with tombstoned rows dropped, each with
+    the labels of its rows; blocks left empty are skipped.
     """
-    for view in views:
-        view_labels = labels[view.start : view.start + view.size]
-        offset = 0
-        for block in view.iter_codes():
-            n = block.shape[0]
-            block_labels = view_labels[offset:offset + n]
+    for view, labels in pairs:
+        offset = done = 0
+        for codes in view.iter_codes(block_rows):
+            n = codes.shape[0]
             if view.dead is not None:
-                keep = _block_live(offset, n, view.dead)
-                block = block[keep]
-                block_labels = [block_labels[i] for i in keep]
+                codes = codes[_block_live(offset, n, view.dead)]
             offset += n
-            if block.shape[0]:
-                yield (
-                    np.asarray(
-                        view.storage.decode(block, view.scale), dtype=np.float64
-                    ),
-                    block_labels,
-                )
+            if codes.shape[0]:
+                yield view, codes, labels[done : done + codes.shape[0]]
+                done += codes.shape[0]
 
 
 def _block_live(offset: int, n: int, dead: np.ndarray) -> np.ndarray:
-    """Local indices (within ``[offset, offset+n)``) of untombstoned rows."""
+    """Local indices (within ``[offset, offset+n)``) of untombstoned rows.
+
+    ``dead`` is the view's sorted local tombstone array; membership is
+    resolved by binary search, O(n log d) rather than O(n * d).
+    """
     local = np.arange(offset, offset + n)
     hit = np.searchsorted(dead, local)
     dead_here = (hit < dead.size) & (dead[np.minimum(hit, dead.size - 1)] == local)
     return np.flatnonzero(~dead_here)
 
 
+def _positional(pairs) -> bool:
+    """Whether the live labels of ``pairs`` are exactly the default positions.
+
+    Checked view by view, so it stops at the first view that is not.
+    A memory-mapped shard whose blob elided its labels holds the default
+    positions by construction, which spares a packed store the per-label
+    check.
+    """
+    position = 0
+    for view, labels in pairs:
+        elided = (
+            view.dead is None
+            and view.start == position
+            and getattr(view._shard, "labels_elided", False)
+        )
+        if not (elided or _is_positional(labels, position)):
+            return False
+        position += len(labels)
+    return True
+
+
+def _decode(shard, codes: np.ndarray) -> np.ndarray:
+    """``codes`` of ``shard`` (anything with ``storage``/``scale``) as float64."""
+    return np.asarray(shard.storage.decode(codes, shard.scale), dtype=np.float64)
+
+
+def _encode(spec, scale, view, codes, decoded=None) -> np.ndarray:
+    """The engine's encoding rule, for one block of ``view``'s ``codes``.
+
+    Same-spec float codes pass through verbatim (surviving rows stay
+    bit-identical); anything else — another spec, or int8 with the
+    rewrite's store-wide step — is decoded to float64 and re-encoded.
+    """
+    if view.storage.name == spec.name and not spec.quantised:
+        return codes
+    return spec.encode(_decode(view, codes) if decoded is None else decoded, scale)
+
+
+def _int8_step(pairs, block_rows: int) -> float:
+    """The one int8 step of a rewrite: it covers every live row.
+
+    Appends fix a step per shard as rows arrive; a rewrite spends one
+    extra streaming pass finding the live rows' peak instead, so no
+    output shard ever has to be sealed early on a chunk that would
+    clip.  The step is still recorded per shard, so readers do not care.
+    """
+    peak = 0.0
+    for view, codes, _ in _live_blocks(pairs, block_rows):
+        block_peak = float(np.max(np.abs(_decode(view, codes))))
+        if not np.isfinite(block_peak):
+            raise ValueError("int8 storage requires finite sketch values")
+        peak = max(peak, block_peak)
+    return StorageSpec.int8_step(peak)
+
+
 def _sample_live(
-    views: list[ShardView], target: int = DEFAULT_TRAIN_SAMPLE
+    pairs, block_rows: int, target: int = DEFAULT_TRAIN_SAMPLE
 ) -> np.ndarray:
     """A deterministic stride sample of the live rows, for k-means.
 
     Every ``step``-th live row (step chosen so roughly ``target`` rows
     come back) — spread across the whole store, no randomness, so
-    repeated compactions of the same store train on the same sample.
+    repeated compactions of the same rows train on the same sample.
     """
-    total = sum(view.live_size for view in views)
+    total = sum(view.live_size for view, _ in pairs)
     step = max(1, total // max(target, 1))
     sample, seen = [], 0
-    for block, _ in _iter_live_decoded(views, [None] * sum(v.size for v in views)):
-        idx = np.arange(seen, seen + block.shape[0])
-        take = block[idx % step == 0]
-        if take.shape[0]:
-            sample.append(take)
-        seen += block.shape[0]
+    for view, codes, _ in _live_blocks(pairs, block_rows):
+        picked = codes[np.arange(seen, seen + codes.shape[0]) % step == 0]
+        if picked.shape[0]:
+            sample.append(_decode(view, picked))
+        seen += codes.shape[0]
     return np.concatenate(sample)
 
 
-def _is_positional(labels: tuple, start: int) -> bool:
-    """Whether ``labels`` are exactly the default global positions.
+def _cluster_count(routing, live_rows: int, capacity: int) -> int | None:
+    """Resolve the ``routing`` argument of a compaction to a cluster count."""
+    if routing is None or routing is False:
+        return None
+    if live_rows == 0:
+        raise ValueError("cannot build routing over an empty store")
+    if routing is True:
+        return default_cluster_count(live_rows, capacity)
+    clusters = int(routing)
+    if clusters < 1:
+        raise ValueError(f"routing cluster count must be >= 1, got {clusters}")
+    return clusters
+
+
+def _merge_sources(stores, storage, shard_capacity):
+    """Validate a merge: ``(template, spec, capacity, pairs)``.
+
+    The shared front half of :meth:`ShardedSketchStore.merge` and
+    :func:`repro.serving.maintenance.merge_stores`.  Stores without
+    metadata are skipped; the rest must agree on their configuration
+    and — unless ``storage`` re-encodes them — on their storage spec.
+    """
+    if not stores:
+        raise ValueError("merge needs at least one store")
+    sources = [store for store in stores if store._template is not None]
+    specs = sorted({store.storage.name for store in sources})
+    if storage is None:
+        if len(specs) > 1:
+            raise ValueError(
+                f"cannot merge stores with different storage specs "
+                f"({', '.join(specs)}): their error envelopes differ; pass "
+                f"storage=... to re-encode the merged store into one spec"
+            )
+        storage = specs[0] if specs else stores[0].storage
+    capacity = (
+        max(store.shard_capacity for store in stores)
+        if shard_capacity is None
+        else shard_capacity
+    )
+    template, pairs = None, []
+    for store in sources:
+        if template is None:
+            template = store._template
+        else:
+            estimators.check_compatible(template, store._template)
+        pairs.extend(store._pairs())
+    return template, StorageSpec.parse(storage), capacity, pairs
+
+
+class _Blocks:
+    """A shard's rows as re-iterable float64 blocks (what queries scan)."""
+
+    def __init__(self, shard, block_rows: int) -> None:
+        self._shard, self._block_rows = shard, block_rows
+
+    def __iter__(self):
+        for codes in self._shard.iter_codes(self._block_rows):
+            yield _decode(self._shard, codes)
+
+
+class _ShardRoller:
+    """The rewrite engine's sink: encoded blocks in, capacity-sized shards out.
+
+    Splits incoming blocks at shard boundaries; :meth:`seal` closes the
+    open shard early (a cluster boundary).  Without a ``staging``
+    directory the output shards are in-memory :class:`_Shard` buffers,
+    collected with their labels in :attr:`shards` and :attr:`labels`
+    for the caller to swap in once the rewrite has succeeded.  With
+    one, each shard streams through a :class:`StreamingBatchWriter`
+    into ``shard-NNNNN.skb`` there (labels only when ``write_labels``),
+    and :meth:`abort` removes the partial file: the staging directory
+    is all-or-nothing.
+    """
+
+    def __init__(
+        self, template, spec, scale, capacity, staging=None, write_labels=False
+    ) -> None:
+        self._template = template
+        self._spec, self._scale, self.capacity = spec, scale, capacity
+        self._staging = staging
+        self._write_labels = write_labels
+        self.shards: list = []  # _Shard buffers, or staged shard paths
+        self.labels: list = []  # in memory only
+        self.n_rows = 0
+        self._open = None  # the shard being filled: a _Shard or a writer
+        self._open_rows = 0
+
+    def append(self, codes: np.ndarray, labels) -> None:
+        start = 0
+        while start < codes.shape[0]:
+            if self._open is None:
+                self._open = self._new_shard(codes.shape[0] - start)
+            take = min(self.capacity - self._open_rows, codes.shape[0] - start)
+            chunk = codes[start : start + take]
+            chunk_labels = labels[start : start + take]
+            if self._staging is None:
+                self._open.append_codes(chunk)
+                self.labels.extend(chunk_labels)
+            else:
+                self._open.append(chunk, chunk_labels if self._write_labels else ())
+            start += take
+            self._open_rows += take
+            self.n_rows += take
+            if self._open_rows == self.capacity:
+                self.seal()
+
+    def _new_shard(self, rows: int):
+        self._open_rows = 0
+        if self._staging is None:
+            shard = _Shard(
+                self.capacity,
+                self._template.output_dim,
+                self._spec,
+                initial_rows=min(rows, self.capacity),
+            )
+            shard.scale = self._scale
+            self.shards.append(shard)
+            return shard
+        path = self._staging / _SHARD_PATTERN.format(len(self.shards))
+        self.shards.append(path)
+        return StreamingBatchWriter(
+            path, self._template, storage=self._spec, scale=self._scale
+        )
+
+    def seal(self) -> None:
+        """Close the open shard, so the next append opens a fresh one."""
+        if self._open is None:
+            return
+        if self._staging is None:
+            self._open.capacity = self._open.size  # admits no appends either
+        else:
+            self._open.commit()
+        self._open = None
+
+    def finish(self) -> None:
+        """Complete the output after the last append.
+
+        An in-memory tail shard stays open, so later appends fill it.
+        On disk the tail is committed — as a zero-row shard if nothing
+        was written, since every store needs one shard to carry its
+        metadata.
+        """
+        if self._staging is None:
+            return
+        if self._open is None and not self.shards:
+            self._open = self._new_shard(0)
+        self.seal()
+
+    def abort(self) -> None:
+        if self._staging is not None and self._open is not None:
+            self._open.abort()
+        self._open = None
+
+
+def _write_routing(directory: Path, routing: ShardRouting) -> dict:
+    """Write ``routing``'s blob into ``directory``; its manifest entry."""
+    return {
+        "file": ROUTING_BLOB_NAME,
+        "sha256": write_routing_blob(
+            directory / ROUTING_BLOB_NAME,
+            routing.to_payload(),
+            routing.centroids,
+            routing.radii,
+        ),
+        "n_clusters": routing.n_clusters,
+        "generation": routing.generation,
+    }
+
+
+def _is_positional(labels, start: int) -> bool:
+    """Whether the sequence ``labels`` is exactly the default global positions.
 
     Such labels are not persisted: the loader regenerates them from row
     offsets (``info.labels or range(...)``), so the round trip is
     unchanged while 100k-row headers stay kilobytes instead of
     megabytes.  The type check keeps e.g. ``np.int64`` labels stored —
     they only *equal* the defaults, and must round-trip as written.
+    It runs first, over the whole sequence, so the value comparison
+    only ever sees plain ints (both passes stay at C speed).
     """
-    return all(
-        type(label) is int and label == start + i for i, label in enumerate(labels)
+    return set(map(type, labels)) <= {int} and not any(
+        map(operator.ne, labels, itertools.count(start))
     )
+
+
+def _fresh_dir(path: Path) -> Path:
+    """An empty staging directory at ``path`` (a stale one is removed)."""
+    if path.exists():
+        shutil.rmtree(path)
+    path.mkdir(parents=True)
+    return path
 
 
 def _swap_into_place(staging: Path, root: Path) -> None:

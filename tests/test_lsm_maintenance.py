@@ -31,6 +31,7 @@ from repro.serving import (
     merge_stores,
 )
 from repro.serving import maintenance as maintenance_module
+from repro.serving.serialization import StreamingBatchWriter
 from tests.helpers import scan_jitter_atol
 
 _CONFIG = SketchConfig(input_dim=64, epsilon=8.0, output_dim=32, sparsity=4, seed=5)
@@ -248,8 +249,8 @@ class TestCrashSafety:
     ):
         root, store, sk = _saved_store(tmp_path)
         monkeypatch.setattr(
-            maintenance_module,
-            "_stream_shards",
+            StreamingBatchWriter,
+            "append",
             lambda *a, **k: (_ for _ in ()).throw(OSError("disk full")),
         )
         with pytest.raises(OSError, match="disk full"):
@@ -300,8 +301,8 @@ class TestMergeStores:
     def test_crash_leaves_no_partial_dest(self, tmp_path, monkeypatch):
         root_a, *_ = _saved_store(tmp_path, name="a")
         monkeypatch.setattr(
-            maintenance_module,
-            "_stream_shards",
+            StreamingBatchWriter,
+            "append",
             lambda *a, **k: (_ for _ in ()).throw(OSError("boom")),
         )
         with pytest.raises(OSError, match="boom"):

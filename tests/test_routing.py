@@ -37,9 +37,10 @@ from repro.serving import (
     decode_query,
     encode_query,
     kmeans_centroids,
+    merge_stores,
     read_manifest,
 )
-from repro.serving.routing import assign_rows, covering_radius, default_cluster_count
+from repro.serving.routing import assign_rows, default_cluster_count
 from repro.serving.serialization import (
     SerializationError,
     read_routing_blob,
@@ -100,8 +101,8 @@ class TestKMeans:
     def test_covering_radius_contains_every_row(self):
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(500, 16)) * 100
-        centroid = rows.mean(axis=0)
-        r = covering_radius(rows, centroid)
+        routing = build_shard_routing([rows])
+        centroid, r = routing.centroids[0], routing.radii[0]
         dists = np.linalg.norm(rows - centroid, axis=1)
         assert (dists <= r).all()
 
@@ -420,31 +421,78 @@ class TestWire:
         assert decode_result(blob).stats.shards_routed == 4
 
 
+def _parity_store(sk, *, tombstones, seed=0, labels=None):
+    # row magnitudes grow 1 -> 8: an int8 rewrite must still cover every
+    # row with one step instead of sealing shards on a chunk that clips
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(4, 48)) * 8
+    data = np.concatenate([c + rng.normal(size=(100, 48)) for c in centers])
+    data *= np.linspace(1.0, 8.0, len(data))[:, np.newaxis]
+    store = ShardedSketchStore(shard_capacity=64)
+    store.add_batch(sk.sketch_batch(data, noise_rng=seed + 1), labels=labels)
+    if tombstones:
+        store.delete(store.labels[::7])
+    return store
+
+
+def _assert_same_store(disk, mem):
+    """Shard sizes, labels, codes, values, scales and routing: all exact."""
+    assert disk.storage == mem.storage
+    assert disk.shard_sizes() == mem.shard_sizes()
+    assert list(disk.labels) == list(mem.labels)
+    assert disk.tombstones == mem.tombstones == ()
+    for d, m in zip(disk.snapshot(), mem.snapshot(), strict=True):
+        assert d.scale == m.scale
+        np.testing.assert_array_equal(d.codes, m.codes)
+        np.testing.assert_array_equal(d.values, m.values)
+    if mem.routing is None:
+        assert disk.routing is None
+        return
+    np.testing.assert_array_equal(disk.routing.centroids, mem.routing.centroids)
+    np.testing.assert_array_equal(disk.routing.radii, mem.routing.radii)
+    assert disk.routing.to_payload() == mem.routing.to_payload()
+
+
 class TestDiskCompaction:
-    def test_disk_matches_in_memory(self, tmp_path):
+    """The disk fronts and the in-memory fronts of the rewrite engine agree."""
+
+    @pytest.mark.parametrize("tombstones", [False, True])
+    @pytest.mark.parametrize("routing", [None, True])
+    @pytest.mark.parametrize("storage", ["f8", "f4", "int8"])
+    def test_disk_matches_in_memory(self, tmp_path, storage, routing, tombstones):
         sk = _sketcher()
-        rng = np.random.default_rng(0)
-        centers = rng.normal(size=(4, 48)) * 8
-        data = np.concatenate([c + rng.normal(size=(100, 48)) for c in centers])
-        batch = sk.sketch_batch(data, noise_rng=1)
-
-        mem = ShardedSketchStore(shard_capacity=64)
-        mem.add_batch(batch)
+        mem = _parity_store(sk, tombstones=tombstones)
         mem.save(tmp_path / "store")
-        summary = compact_store(tmp_path / "store", routing=True, routing_seed=3)
-        assert summary["routing"] == default_cluster_count(len(data), 64)
-
-        mem.compact(routing=True, routing_seed=3)
-        loaded = ShardedSketchStore.load(tmp_path / "store")
-        np.testing.assert_allclose(
-            loaded.routing.centroids, mem.routing.centroids
+        summary = compact_store(
+            tmp_path / "store", storage=storage, routing=routing, routing_seed=3
         )
-        np.testing.assert_allclose(loaded.routing.radii, mem.routing.radii)
-        assert loaded.routing.shard_sizes == mem.routing.shard_sizes
-        q = _query(sk, centers[1])
+        if routing:
+            assert summary["routing"] == default_cluster_count(mem.live_row_count, 64)
+        mem.compact(storage=storage, routing=routing, routing_seed=3)
+        loaded = ShardedSketchStore.load(tmp_path / "store")
+        assert loaded.generation == mem.generation == 1
+        _assert_same_store(loaded, mem)
+        q = _query(sk, np.zeros(48))
         disk = DistanceService(loaded).execute(TopKQuery(queries=q, k=10))
         in_mem = DistanceService(mem).execute(TopKQuery(queries=q, k=10))
         assert disk.payload == in_mem.payload
+
+    @pytest.mark.parametrize("storage", [None, "f4", "int8"])
+    def test_merge_stores_matches_merge(self, tmp_path, storage):
+        sk = _sketcher()
+        a = _parity_store(sk, tombstones=True)
+        b = _parity_store(
+            sk, tombstones=True, seed=5, labels=[f"b-{i}" for i in range(400)]
+        )
+        a.save(tmp_path / "a")
+        b.save(tmp_path / "b")
+        merge_stores(
+            tmp_path / "a", tmp_path / "b", dest=tmp_path / "m", storage=storage
+        )
+        _assert_same_store(
+            ShardedSketchStore.load(tmp_path / "m"),
+            ShardedSketchStore.merge(a, b, storage=storage),
+        )
 
     def test_policy_skips_partial_shards_on_routed_store(self, tmp_path):
         sk = _sketcher()

@@ -1,8 +1,7 @@
 """Tests for the serving layer: sharded store + distance service.
 
 Queries go through the typed query plane (``execute()`` +
-:mod:`repro.serving.queries`); the deprecated method-per-query shims
-have their own bit-equality suite in ``tests/test_queries.py``.
+:mod:`repro.serving.queries`).
 """
 
 import dataclasses

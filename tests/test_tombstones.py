@@ -32,6 +32,7 @@ from repro.serving import (
     ShardedSketchStore,
     TopKQuery,
 )
+from repro.serving.serialization import SerializationError
 from tests.helpers import scan_jitter_atol
 
 _CONFIG = SketchConfig(input_dim=64, epsilon=8.0, output_dim=32, sparsity=4, seed=7)
@@ -251,6 +252,29 @@ class TestCompactDropsTombstones:
         np.testing.assert_allclose(after, before, atol=atol, rtol=0.0)
         ranked = service.execute(TopKQuery(queries=queries, k=3)).payload
         assert all(len(r) == 3 for r in ranked)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"storage": "int8", "routing": True}])
+    def test_a_failed_compact_leaves_the_store_unchanged(self, tmp_path, kwargs):
+        store, sk = _store(n=40, shard_capacity=8)
+        store.delete(["row-3", "row-21"])
+        store.save(tmp_path / "s")
+        shard = tmp_path / "s" / "shard-00002.skb"
+        blob = bytearray(shard.read_bytes())
+        blob[-1] ^= 0xFF  # a values byte: only the streamed digest notices
+        shard.write_bytes(bytes(blob))
+        loaded = ShardedSketchStore.load(tmp_path / "s", mmap=True)
+        service = DistanceService(loaded)
+        queries = _batch(sk, 3, 4)
+        before = service.execute(CrossQuery(queries=queries)).payload
+        storage, labels = loaded.storage, loaded.labels
+        with pytest.raises(SerializationError, match="digest"):
+            loaded.compact(**kwargs)
+        assert len(loaded) == 40 and loaded.live_row_count == 38
+        assert loaded.tombstones == (3, 21)
+        assert loaded.generation == 0
+        assert loaded.storage == storage and loaded.labels == labels
+        after = service.execute(CrossQuery(queries=queries)).payload
+        np.testing.assert_array_equal(after, before)
 
     def test_merge_skips_tombstoned_rows(self):
         sk = _sketcher()
